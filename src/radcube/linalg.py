@@ -8,11 +8,13 @@ its basis off the RREF (free variables in increasing column order, free
 variable set to 1), and `solve` zeroes the free variables.  Downstream
 computations are therefore reproducible bit for bit.
 
-Matrices are stored densely, but every elimination (rref, rank, nullspace,
-solve, solve_matrix) runs through one sparse-aware kernel, `_rref_array`:
-it works on the nonzero entries only and switches to dense row updates
-once the rows still to be reduced have filled in, so the very sparse
-k-matrices of resolutions cost little more than their nonzeros.  The
+Matrices are stored densely, but every elimination (rref, pivots, rank,
+nullspace, solve, solve_matrix) runs through one sparse-aware kernel,
+`_rref_array`: it works on the nonzero entries only and switches to dense
+row updates once the rows still to be reduced have filled in, so the very
+sparse k-matrices of resolutions cost little more than their nonzeros.
+Products work on the nonzero support too: large operands are multiplied
+only on the rows, columns and inner indices that can carry a nonzero.  The
 intended problem sizes are desk scale (up to a few thousand rows/columns).
 """
 
@@ -28,6 +30,7 @@ __all__ = [
     "RrefResult",
     "rref",
     "rank",
+    "pivots",
     "nullspace",
     "nullspace_basis",
     "solve",
@@ -120,10 +123,11 @@ class Mat:
 
     @classmethod
     def _reduced(cls, field: PrimeField, a: np.ndarray) -> "Mat":
-        """Wrap a 2-d int64 array already in [0, p) without re-reducing it.
+        """Wrap a 2-d int64 array without re-reducing it.
 
-        Only for linalg's own results (elimination output, transposes and
-        products of matrices), never for data from outside.
+        Only for arrays already in [0, p) by construction (elimination
+        output, transposes and products of matrices, and arrays the caller
+        has just reduced mod p), never for data from outside.
         """
         m = cls.__new__(cls)
         a.setflags(write=False)
@@ -174,23 +178,42 @@ class Mat:
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    # Like elimination, products work on the nonzero support.  Large
+    # operands are cut down to the block that can hold nonzeros: the inner
+    # indices where a has a nonzero column and b a nonzero row, the rows of
+    # a and the columns of b that are nonzero there.  Small operands skip
+    # the cut, whose fancy indexing would cost more than it saves.  The
+    # block is multiplied by a float64 GEMM, exact while accumulants stay
+    # below 2**53, and otherwise in int64 (_matmul_int64).
+    if a.size + b.size < 1 << 14:
+        return _matmul_int64(a, b, p)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    ks = np.flatnonzero(a.any(axis=0) & b.any(axis=1))
+    a = a[:, ks]
+    b = b[ks]
+    rs = np.flatnonzero(a.any(axis=1))
+    cs = np.flatnonzero(b.any(axis=0))
+    a = a[rs]
+    b = b[:, cs]
+    if (p - 1) ** 2 * ks.size < 1 << 53:
+        block = np.mod(a.astype(np.float64) @ b.astype(np.float64), p).astype(np.int64)
+    else:
+        block = _matmul_int64(a, b, p)
+    out[np.ix_(rs, cs)] = block
+    return out
+
+
+def _matmul_int64(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     # int64 products are exact as long as the accumulated dot products stay
     # below 2**63; chunk the inner dimension when p is large enough to risk
-    # overflow.  For small p and large operands, a float64 GEMM is exact
-    # (accumulants below 2**53) and runs at BLAS speed.
+    # overflow.
     inner = a.shape[1]
-    if inner == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    if a.size + b.size >= 1 << 14 and (p - 1) ** 2 * inner < 1 << 53:
-        prod = a.astype(np.float64) @ b.astype(np.float64)
-        return np.mod(prod, p).astype(np.int64)
     safe = (2**62) // max(1, (p - 1) ** 2)
     if inner <= safe:
         return np.mod(a @ b, p)
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    step = max(1, safe)
-    for k in range(0, inner, step):
-        out = np.mod(out + a[:, k : k + step] @ b[k : k + step, :], p)
+    for k in range(0, inner, safe):
+        out = np.mod(out + a[:, k : k + safe] @ b[k : k + safe, :], p)
     return out
 
 
@@ -340,9 +363,15 @@ def rref(m: Mat) -> RrefResult:
     return RrefResult(Mat._reduced(m.field, a), len(pivots), tuple(pivots))
 
 
+def pivots(m: Mat) -> tuple[int, ...]:
+    """Pivot columns of m, the same as rref(m).pivots, from forward-only
+    elimination (no back-substitution, no reduced matrix)."""
+    return tuple(_rref_array(m.a, m.field.p, reduce=False)[1])
+
+
 def rank(m: Mat) -> int:
-    """Rank over F_p: the pivot count of forward-only elimination."""
-    return len(_rref_array(m.a, m.field.p, reduce=False)[1])
+    """Rank over F_p: the number of pivot columns."""
+    return len(pivots(m))
 
 
 def nullspace(m: Mat) -> tuple[Mat, list[int]]:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import Mat, nullspace, nullspace_basis, rank, rref, solve_matrix
+from .linalg import Mat, nullspace, nullspace_basis, pivots, rank, rref, solve_matrix
 from .rings import RingElement, RingPresentation, parse_element
 
 __all__ = [
@@ -85,7 +85,7 @@ class RModuleMap:
     def kt_rank(self) -> int:
         """rank of the transposed k-matrix, computed by its own elimination."""
         if self._ktrank is None:
-            self._ktrank = rank(Mat(self.ring.field, self.k_matrix().a.T))
+            self._ktrank = rank(self.k_matrix().transpose())
         return self._ktrank
 
     @classmethod
@@ -140,7 +140,7 @@ class RModuleMap:
             else:
                 t = ring.mult_tensor()
                 blocks = np.einsum("ijA,Abc->ijcb", self.arr, t) % ring.p
-                self._kmat = Mat(
+                self._kmat = Mat._reduced(
                     ring.field,
                     np.transpose(blocks, (0, 2, 1, 3)).reshape(b0 * d, b1 * d),
                 )
@@ -355,12 +355,12 @@ def k_summand_multiplicity(m: KModule) -> int:
     mm = m.m_image()
     if soc.cols == 0:
         return 0
-    combined = Mat(m.ring.field, np.concatenate([mm.a, soc.a], axis=1))
-    pivots = rref(combined).pivots
+    combined = Mat._reduced(m.ring.field, np.concatenate([mm.a, soc.a], axis=1))
+    piv = pivots(combined)
     boundary = mm.cols
-    inside = sum(1 for c in pivots if c < boundary)
+    inside = sum(1 for c in piv if c < boundary)
     m._msub_rank = inside
-    return len(pivots) - inside
+    return len(piv) - inside
 
 
 def matlis_dual(m: KModule) -> KModule:
@@ -436,11 +436,10 @@ def _module_generators(
     if free is not None:
         mk_coords = mk[free, :]
         eye = np.eye(kernel.cols, dtype=np.int64)
-        stacked = Mat(ring.field, np.concatenate([mk_coords, eye], axis=1))
+        stacked = Mat._reduced(ring.field, np.concatenate([mk_coords, eye], axis=1))
     else:
-        stacked = Mat(ring.field, np.concatenate([mk, kernel.a], axis=1))
-    pivots = rref(stacked).pivots
-    chosen = [c - mk.shape[1] for c in pivots if c >= mk.shape[1]]
+        stacked = Mat._reduced(ring.field, np.concatenate([mk, kernel.a], axis=1))
+    chosen = [c - mk.shape[1] for c in pivots(stacked) if c >= mk.shape[1]]
     cols = kernel.a[:, chosen]
     # Column j reshaped (b, D) is the j-th generator as a ring-element vector.
     arr = np.transpose(cols.reshape(b, d, len(chosen)), (0, 2, 1))
@@ -557,14 +556,14 @@ def coker_realize(ring: RingPresentation, pres: RModuleMap) -> KModule:
     nops = len(ops)
     nonpiv_arr = np.array(nonpiv, dtype=np.int64)
     us, ws = np.divmod(nonpiv_arr, d) if dm else (np.zeros(0, int), np.zeros(0, int))
-    red_mat = Mat(ring.field, red)
+    red_mat = Mat._reduced(ring.field, red)
     # One GEMM for all operators: stack their basis images side by side.
     cols = np.zeros((b * d, nops * dm), dtype=np.int64)
     if dm:
         rows = (us[None, :] * d + np.arange(d)[:, None]).astype(np.int64)
         for oi, op in enumerate(ops):
             cols[rows, oi * dm + np.arange(dm)[None, :]] = op[:, ws]
-    batched = (red_mat @ Mat(ring.field, cols)).a
+    batched = (red_mat @ Mat._reduced(ring.field, cols)).a
     induced = np.stack(
         [batched[:, oi * dm : (oi + 1) * dm] for oi in range(nops)]
     ) if nops else np.zeros((0, dm, dm), dtype=np.int64)
@@ -619,9 +618,10 @@ def minimal_presentation(m: KModule, name: str = "M") -> RModuleMap:
     d = ring.dim
     dm = m.dim
     mm = m.m_image().a
-    stacked = Mat(ring.field, np.concatenate([mm, np.eye(dm, dtype=np.int64)], axis=1))
-    pivots = rref(stacked).pivots
-    gens_idx = [c - mm.shape[1] for c in pivots if c >= mm.shape[1]]
+    stacked = Mat._reduced(
+        ring.field, np.concatenate([mm, np.eye(dm, dtype=np.int64)], axis=1)
+    )
+    gens_idx = [c - mm.shape[1] for c in pivots(stacked) if c >= mm.shape[1]]
     b = len(gens_idx)
     ops_full = np.concatenate(
         [np.eye(dm, dtype=np.int64)[None], m.x_ops, m.y_ops], axis=0

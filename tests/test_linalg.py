@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radcube.linalg import Mat, PrimeField, nullspace_basis, rank, rref, solve
+from radcube.linalg import Mat, PrimeField, nullspace_basis, pivots, rank, rref, solve
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -142,13 +142,95 @@ def test_blocked_elimination_matches_reference():
 
     for a, p in _elimination_cases():
         before = a.copy()
-        red, pivots = _rref_array(a, p)
+        red, piv = _rref_array(a, p)
         ref, ref_pivots = _reference_rref(a, p)
         assert np.array_equal(a, before)  # the input is left untouched
-        assert pivots == ref_pivots
+        assert piv == ref_pivots
         assert red.tolist() == ref
         assert _rref_array(a, p, reduce=False)[1] == ref_pivots
+        assert pivots(Mat(PrimeField(p), a)) == tuple(ref_pivots)
         assert rank(Mat(PrimeField(p), a)) == len(ref_pivots)
+
+
+def _reference_product(a: np.ndarray, b: np.ndarray, p: int) -> list[list[int]]:
+    """Schoolbook matrix product in plain Python ints, reduced mod p."""
+    cols = b.T.tolist()
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a.tolist()]
+
+
+def _product_cases():
+    """Seeded operand pairs of every kind, on both sides of the 1 << 14
+    size gate above which products are cut down to the nonzero support."""
+    rng = np.random.default_rng(20261018)
+    shapes = [
+        (7, 9, 5),
+        (16, 511, 16),  # a.size + b.size = 16352, just below the gate
+        (16, 512, 16),  # exactly 1 << 14
+        (40, 400, 30),
+    ]
+    for p in (5, 65521, 2**31 - 1):
+        for rows, inner, cols in shapes:
+            a = rng.integers(0, p, (rows, inner))
+            b = rng.integers(0, p, (inner, cols))
+            yield a, b, p  # dense
+            # Every entry p - 1: dot products reach inner * (p-1)^2, above
+            # 2^53 and, at p = 2^31 - 1, above 2^63 before reduction.
+            yield np.full_like(a, p - 1), np.full_like(b, p - 1), p
+            # Sparse, with zero rows and columns on both sides, and inner
+            # indices nonzero on one side only.
+            sa = np.where(rng.random(a.shape) < 0.05, a, 0)
+            sb = np.where(rng.random(b.shape) < 0.05, b, 0)
+            sa[rng.random(rows) < 0.3] = 0
+            sa[:, rng.random(inner) < 0.3] = 0
+            sb[rng.random(inner) < 0.3] = 0
+            sb[:, rng.random(cols) < 0.3] = 0
+            yield sa, sb, p
+            # Nonzero operands whose supports miss each other: zero product.
+            half = inner // 2
+            da, db = a.copy(), b.copy()
+            da[:, half:] = 0
+            db[:half] = 0
+            yield da, db, p
+            yield np.zeros_like(a), np.zeros_like(b), p
+        yield rng.integers(0, p, (3, 0)), rng.integers(0, p, (0, 4)), p
+    # Above the gate at p = 65521 with an inner dimension long enough that
+    # the float64 product would no longer be exact (inner * (p-1)^2 > 2^53).
+    p = 65521
+    inner = (1 << 53) // (p - 1) ** 2 + 8
+    yield rng.integers(p - 1024, p, (1, inner)), rng.integers(p - 1024, p, (inner, 1)), p
+
+
+def test_matmul_matches_reference():
+    for a, b, p in _product_cases():
+        f = PrimeField(p)
+        prod = Mat(f, a) @ Mat(f, b)
+        assert prod.shape == (a.shape[0], b.shape[1])
+        assert prod.a.dtype == np.int64
+        assert prod.a.tolist() == _reference_product(a, b, p)
+
+
+def test_composes_to_zero_witness():
+    # A pair that fails to compose to zero names the ring entry holding the
+    # row-major first nonzero of the k-matrix product, below the size gate
+    # (d_2, d_3) and above it (d_4, d_5).
+    from radcube.catalog import CATALOG
+    from radcube.modules import RModuleMap, k_presentation, resolve
+
+    ring = CATALOG["R4"].ring()
+    _, diffs = resolve(ring, k_presentation(ring), 5, "k")
+    for i in (1, 3):
+        f, g = diffs[i], diffs[i + 1]
+        assert f.composes_to_zero(g) == (True, None)
+        arr = g.arr.copy()
+        arr[g.nrows // 2, g.ncols // 3, 1] += 1  # add x1 to one entry
+        arr[g.nrows - 1, g.ncols - 1, 2] += 1  # and x2 to another
+        bad = RModuleMap(ring, arr)
+        ref = _reference_product(f.k_matrix().a, bad.k_matrix().a, ring.p)
+        r, c = next((r, c) for r, row in enumerate(ref) for c, v in enumerate(row) if v)
+        ok, witness = f.composes_to_zero(bad)
+        assert not ok
+        assert witness == (r // ring.dim, c // ring.dim)
+        assert f.compose(bad).arr[witness].any()
 
 
 small_primes = st.sampled_from([2, 3, 5, 7, 13])
