@@ -44,6 +44,7 @@ from .modules import (
     cyclic_presentation,
     dual_map,
     ext_dims,
+    ext_from_diffs,
     free_kmodule,
     has_k_summand,
     k_presentation,

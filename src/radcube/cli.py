@@ -30,10 +30,10 @@ import os
 import sys
 
 from .catalog import CATALOG, resolve_module, resolve_ring
-from .complexes import construct_from_module, verify_window
+from .complexes import construct_from_module
 from .errors import ConstructionRefused, InputError, ParseError
 from .fileio import parse_window, render_window
-from .modules import ext_dims, minimalize, prune_zero_columns, resolve
+from .modules import ext_from_diffs, minimalize, prune_zero_columns, resolve
 from .recursion import classify, search_sequences, verify_prefix
 from .theorems import check_theorem_A, check_theorem_C, classify_theorem_B
 
@@ -100,10 +100,11 @@ def cmd_resolve(args) -> int:
         print("note: presentation had unit entries; minimalized "
               f"to {pres.nrows}x{pres.ncols}")
     n = args.steps if args.steps is not None else _default_depth()
-    betti, _ = resolve(ring, pres, n)
-    print("beta: " + " ".join(str(b) for b in betti.betti))
+    # Ext^0..Ext^n need d_{n+1}: one resolution, deep enough for both lines.
+    betti, diffs = resolve(ring, pres, n + 1 if args.ext and n >= 0 else n)
+    print("beta: " + " ".join(str(b) for b in betti.betti[: n + 1]))
     if args.ext:
-        dims = ext_dims(ring, pres, n + 1)
+        dims = ext_from_diffs(ring, diffs)
         print("ext:  " + " ".join(str(v) for v in dims))
     return EXIT_OK
 
@@ -160,7 +161,7 @@ def cmd_check(args) -> int:
     if bad:
         print(f"unknown theorem name(s): {', '.join(bad)}", file=sys.stderr)
         return EXIT_INPUT
-    vrep = verify_window(ring, window)
+    vrep = window.report()
     print(
         f"window [{window.lo},{window.hi}] ranks "
         + " ".join(str(b) for b in window.ranks)

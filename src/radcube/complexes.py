@@ -16,6 +16,10 @@ Index conventions, fixed once for the whole package:
 * The dual complex has maps running the other way; its homology at i is
   H_i = ker(d_{i+1}^T) / im(d_i^T), computable for lo < i < hi.
 
+* A window memoizes its own analysis: `w.report()` is verify_window and
+  `w.dual()` is homology_of_dual, each computed on first use, so the CLI
+  and the theorem checks share one verification and one dual homology.
+
 * Splicing a module M with vanishing Ext^i(M, R) for i > 0 produces the
   window (resolution of M^*, connecting map, dualized resolution of M)::
 
@@ -34,11 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionRefused, InputError
-from .linalg import rank
 from .modules import (
     RModuleMap,
     coker_realize,
     dual_map,
+    ext_from_diffs,
     has_k_summand,
     resolve,
     star,
@@ -87,6 +91,20 @@ class ChainWindow:
                     f"expected {self.rank(i-1)}x{self.rank(i)}"
                 )
         self.diffs = diffs
+        self._report: WindowReport | None = None
+        self._dual: HomologyReport | None = None
+
+    def report(self) -> WindowReport:
+        """verify_window of this window; computed once."""
+        if self._report is None:
+            self._report = verify_window(self.ring, self)
+        return self._report
+
+    def dual(self) -> HomologyReport:
+        """homology_of_dual of this window; computed once."""
+        if self._dual is None:
+            self._dual = homology_of_dual(self.ring, self)
+        return self._dual
 
     def rank(self, i: int) -> int:
         if not (self.lo <= i <= self.hi):
@@ -139,9 +157,8 @@ def verify_window(ring, w: ChainWindow) -> WindowReport:
     )
     homology = {}
     for i in w.interior:
-        km = w.diff(i).k_matrix()
-        nullity = km.cols - rank(km)
-        homology[i] = nullity - rank(w.diff(i + 1).k_matrix())
+        d = w.diff(i)
+        homology[i] = d.k_matrix().cols - d.k_rank() - w.diff(i + 1).k_rank()
     acyclic = not violations and all(h == 0 for h in homology.values())
     return WindowReport(
         composition_zero=not violations,
@@ -169,9 +186,9 @@ def homology_of_dual(ring, w: ChainWindow) -> HomologyReport:
     dual_ranks = {}
     nullities = {}
     for i in range(w.lo + 1, w.hi + 1):
-        km = dual_map(w.diff(i)).k_matrix()
-        dual_ranks[i] = rank(km)
-        nullities[i] = km.cols - dual_ranks[i]
+        dual = dual_map(w.diff(i))
+        dual_ranks[i] = dual.k_rank()
+        nullities[i] = dual.k_matrix().cols - dual_ranks[i]
     h = {}
     for i in w.interior:
         h[i] = nullities[i + 1] - dual_ranks[i]
@@ -232,17 +249,6 @@ class ConstructionResult:
     minimal: bool
 
 
-def _ext_from_diffs(ring, diffs: list[RModuleMap], n: int) -> list[int]:
-    """dim Ext^0..Ext^{n-1} from an already computed resolution d_1..d_n."""
-    d = ring.dim
-    dual_rank = [0]
-    for f in diffs[:n]:
-        dual_rank.append(rank(dual_map(f).k_matrix()))
-    return [
-        diffs[i].nrows * d - dual_rank[i + 1] - dual_rank[i] for i in range(n)
-    ]
-
-
 def construct_from_module(ring, pres: RModuleMap, n: int) -> ConstructionResult:
     """Splice M's dualized resolution with the resolution of M^*.
 
@@ -261,7 +267,7 @@ def construct_from_module(ring, pres: RModuleMap, n: int) -> ConstructionResult:
     if pres.ncols == 0 or pres.is_zero():
         raise ConstructionRefused("construction degenerates: M is free")
     betti, diffs = resolve(ring, pres, n + 2)
-    ext = _ext_from_diffs(ring, diffs, n + 2)
+    ext = ext_from_diffs(ring, diffs)
     for i in range(1, n + 2):
         if ext[i] != 0:
             raise ConstructionRefused(f"Ext^{i} != 0 (dim {ext[i]})")
@@ -277,10 +283,11 @@ def construct_from_module(ring, pres: RModuleMap, n: int) -> ConstructionResult:
     window = ChainWindow(
         ring, -n, neg_ranks + pos_ranks, neg_diffs + pos_diffs
     )
-    report = verify_window(ring, window)
-    dual = homology_of_dual(ring, window)
     return ConstructionResult(
-        window=window, report=report, dual=dual, minimal=window.is_minimal()
+        window=window,
+        report=window.report(),
+        dual=window.dual(),
+        minimal=window.is_minimal(),
     )
 
 

@@ -84,18 +84,6 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
-    def normalize(self, a: int) -> int:
-        return int(a) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-int(a)) % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (int(a) + int(b)) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (int(a) * int(b)) % self.p
-
     def inv(self, a: int) -> int:
         a = int(a) % self.p
         if a == 0:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import Mat, nullspace, nullspace_basis, pivots, rank, rref, solve_matrix
+from .linalg import Mat, nullspace, nullspace_basis, pivots, rank, rref
 from .rings import RingElement, RingPresentation, parse_element
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "resolve",
     "dual_map",
     "ext_dims",
+    "ext_from_diffs",
     "has_k_summand",
     "k_summand_multiplicity",
     "matlis_dual",
@@ -195,22 +196,6 @@ def dual_map(f: RModuleMap) -> RModuleMap:
     return RModuleMap(f.ring, np.transpose(f.arr, (1, 0, 2)))
 
 
-def _ring_ops(ring: RingPresentation) -> np.ndarray:
-    """Multiplication operators of x_1..x_e, u_1..u_s; shape (e+s, D, D)."""
-    cached = getattr(ring, "_ops_cache", None)
-    if cached is not None:
-        return cached
-    d = ring.dim
-    ops = np.zeros((ring.e + ring.s, d, d), dtype=np.int64)
-    for i in range(ring.e + ring.s):
-        v = np.zeros(d, dtype=np.int64)
-        v[1 + i] = 1
-        ops[i] = ring.operator(v)
-    ops.setflags(write=False)
-    ring._ops_cache = ops
-    return ops
-
-
 def _apply_blockwise(op: np.ndarray, vecs: np.ndarray, b: int, d: int, p: int) -> np.ndarray:
     """Apply the block-diagonal lift of op (D x D) to columns of k^{bD}."""
     if vecs.shape[1] == 0 or b == 0:
@@ -320,7 +305,7 @@ class KModule:
 
 def free_kmodule(ring: RingPresentation, b: int) -> KModule:
     """R^b as an explicit KModule."""
-    ops = _ring_ops(ring)
+    ops = ring.basis_operators()
     eye = np.eye(b, dtype=np.int64)
     x = np.stack([np.kron(eye, ops[i]) for i in range(ring.e)]) if b else np.zeros(
         (ring.e, 0, 0), dtype=np.int64
@@ -426,7 +411,7 @@ def _module_generators(
     d = ring.dim
     if kernel.cols == 0 or b == 0:
         return RModuleMap.zeros(ring, b, 0)
-    ops = _ring_ops(ring)
+    ops = ring.basis_operators()
     mk_parts = [
         _apply_blockwise(ops[i], kernel.a, b, d, ring.p) for i in range(len(ops))
     ]
@@ -472,8 +457,8 @@ def resolve(
     Returns the Betti numbers beta_0..beta_n and the differentials
     d_1 = pres, d_{i+1} = syzygy_step(d_i).  The input must be a minimal
     presentation; if its columns fail to minimally generate the image the
-    first syzygy acquires unit entries and the computation refuses rather
-    than report wrong Betti numbers.
+    first syzygy acquires unit entries and the computation refuses, for
+    every n >= 1, rather than report wrong Betti numbers.
     """
     if n < 0:
         raise InputError(f"resolution length must be >= 0, got {n}")
@@ -482,7 +467,9 @@ def resolve(
     diffs: list[RModuleMap] = []
     if n >= 1:
         diffs.append(pres)
-        for _ in range(2, n + 1):
+        # d_2 is computed even for n = 1: only the first syzygy shows
+        # whether beta_1 = pres.ncols.
+        for _ in range(2, max(n, 2) + 1):
             nxt = syzygy_step(ring, diffs[-1])
             if not nxt.is_minimal():
                 raise InputError(
@@ -490,29 +477,30 @@ def resolve(
                     "Betti numbers would be overstated"
                 )
             diffs.append(nxt)
+        del diffs[n:]
     betti = (pres.nrows,) + tuple(d.ncols for d in diffs)
     return BettiTable(module_name, betti), diffs
 
 
-def ext_dims(ring: RingPresentation, pres: RModuleMap, n: int) -> list[int]:
-    """dim_k Ext^i(M, R) for i = 0..n-1, from one resolution pass.
+def ext_from_diffs(ring: RingPresentation, diffs: list[RModuleMap]) -> list[int]:
+    """dim_k Ext^i(M, R) for i = 0..len(diffs)-1 from a resolution d_1, d_2, ...
 
     Ext^i is ker(d_{i+1}^T)/im(d_i^T) on the dualized resolution; its
     dimension is the nullity of d_{i+1}^T minus the rank of d_i^T (with
     d_0^T = 0).  Ext^0 = dim_k Hom(M, R) = dim_k M^*.
     """
+    dual_rank = [0] + [dual_map(f).k_rank() for f in diffs]
+    return [
+        f.nrows * ring.dim - dual_rank[i + 1] - dual_rank[i]
+        for i, f in enumerate(diffs)
+    ]
+
+
+def ext_dims(ring: RingPresentation, pres: RModuleMap, n: int) -> list[int]:
+    """dim_k Ext^i(M, R) for i = 0..n-1: ext_from_diffs on resolve(..., n)."""
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
-    _, diffs = resolve(ring, pres, n)
-    d = ring.dim
-    dual_rank = [0]
-    for f in diffs:
-        dual_rank.append(rank(dual_map(f).k_matrix()))
-    dims = []
-    for i in range(n):
-        nullity = diffs[i].nrows * d - dual_rank[i + 1]
-        dims.append(nullity - dual_rank[i])
-    return dims
+    return ext_from_diffs(ring, resolve(ring, pres, n)[1])
 
 
 def _quotient_data(ring: RingPresentation, rel: Mat, b: int):
@@ -552,7 +540,7 @@ def coker_realize(ring: RingPresentation, pres: RModuleMap) -> KModule:
     red, nonpiv = _quotient_data(ring, pres.k_matrix(), b)
     dm = len(nonpiv)
     pres._ktrank = b * d - dm
-    ops = _ring_ops(ring)
+    ops = ring.basis_operators()
     nops = len(ops)
     nonpiv_arr = np.array(nonpiv, dtype=np.int64)
     us, ws = np.divmod(nonpiv_arr, d) if dm else (np.zeros(0, int), np.zeros(0, int))
@@ -570,22 +558,26 @@ def coker_realize(ring: RingPresentation, pres: RModuleMap) -> KModule:
     return KModule(ring, induced[: ring.e], induced[ring.e :])
 
 
-def submodule_realize(ring: RingPresentation, b: int, basis: Mat) -> KModule:
+def submodule_realize(
+    ring: RingPresentation, b: int, basis: Mat, free: list[int]
+) -> KModule:
     """Realize the R-submodule of R^b spanned k-linearly by basis columns.
 
     The span must be closed under the ring action (e.g. the kernel of a
-    module map); actions are re-expressed in the given basis.
+    module map); actions are re-expressed in the given basis.  `free` lists
+    the rows carrying the basis's identity block (as returned by
+    nullspace), so a vector of the span has its coordinates in those rows.
     """
     d = ring.dim
     dm = basis.cols
-    ops = _ring_ops(ring)
+    ops = ring.basis_operators()
     induced = np.zeros((len(ops), dm, dm), dtype=np.int64)
     for oi, op in enumerate(ops):
-        image = Mat(ring.field, _apply_blockwise(op, basis.a, b, d, ring.p))
-        sol = solve_matrix(basis, image)
-        if sol is None:
+        image = _apply_blockwise(op, basis.a, b, d, ring.p)
+        coords = image[free, :]
+        if not np.array_equal((basis @ Mat._reduced(ring.field, coords)).a, image):
             raise InputError("basis does not span an R-submodule")
-        induced[oi] = sol.a
+        induced[oi] = coords
     return KModule(ring, induced[: ring.e], induced[ring.e :])
 
 
@@ -603,7 +595,7 @@ def star(
     dual = dual_map(pres)
     kernel, free = nullspace(dual.k_matrix())
     gen = _module_generators(ring, pres.nrows, kernel, free)
-    mstar = submodule_realize(ring, pres.nrows, kernel)
+    mstar = submodule_realize(ring, pres.nrows, kernel, free)
     return mstar, gen
 
 

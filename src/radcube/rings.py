@@ -79,6 +79,7 @@ class RingPresentation:
         self.y_monomials = list(y_monomials) if y_monomials else None
         self.dim = 1 + e + s
         self._mult_tensor: np.ndarray | None = None
+        self._basis_ops: np.ndarray | None = None
 
     # -- basic structure -------------------------------------------------
 
@@ -129,6 +130,15 @@ class RingPresentation:
             t.setflags(write=False)
             self._mult_tensor = t
         return self._mult_tensor
+
+    def basis_operators(self) -> np.ndarray:
+        """Multiplication operators of x_1..x_e, u_1..u_s; shape (e+s, D, D)."""
+        if self._basis_ops is None:
+            basis_vectors = np.eye(self.dim, dtype=np.int64)[1:]
+            ops = np.stack([self.operator(v) for v in basis_vectors])
+            ops.setflags(write=False)
+            self._basis_ops = ops
+        return self._basis_ops
 
     # -- elements --------------------------------------------------------
 
@@ -277,12 +287,6 @@ class RingElement:
 
     def in_m(self) -> bool:
         return int(self.vec[0]) == 0
-
-    def is_unit(self) -> bool:
-        return int(self.vec[0]) != 0
-
-    def constant_term(self) -> int:
-        return int(self.vec[0])
 
     def inverse(self) -> "RingElement":
         """Inverse of a unit: a = a0(1+n) with n nilpotent gives

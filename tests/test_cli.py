@@ -1,6 +1,12 @@
 import json
 
+import radcube.cli
+import radcube.complexes
+import radcube.modules
+import radcube.theorems
+from radcube.catalog import resolve_ring
 from radcube.cli import main
+from radcube.modules import k_presentation
 
 
 def run(capsys, *argv):
@@ -54,6 +60,17 @@ def test_resolve_autominimalize(tmp_path, capsys):
     assert "minimalized" in out
 
 
+def test_resolve_redundant_columns_refused(tmp_path, capsys):
+    # [x, x] has beta_1 = 1, not 2: refuse before printing any Betti line.
+    mod = tmp_path / "xx.mod"
+    mod.write_text("rows = 1\ncols = 2\nmatrix =\nx, x\n")
+    for extra in ([], ["--ext"]):
+        code, out, err = run(capsys, "resolve", "R4", str(mod), "--steps", "1", *extra)
+        assert code == 2
+        assert "beta:" not in out
+        assert "minimally generate" in err
+
+
 def test_construct_and_check_roundtrip(tmp_path, capsys):
     wfile = tmp_path / "w.window"
     code, out, _ = run(
@@ -80,6 +97,36 @@ def test_construct_and_check_roundtrip(tmp_path, capsys):
     )
     assert code == 0
     assert wfile.read_text() == first
+
+
+def test_check_analyses_each_window_once(tmp_path, capsys, monkeypatch):
+    wfile = tmp_path / "w.window"
+    code, _, _ = run(
+        capsys, "construct", "R4", "R4/xpz", "--half-window", "4", "--out", str(wfile)
+    )
+    assert code == 0
+    kpres = k_presentation(resolve_ring("R4"))
+    calls = {"verify_window": 0, "homology_of_dual": 0, "resolve": 0}
+
+    def counted(name, fn):
+        def wrapper(ring, arg, *rest, **kwargs):
+            if name != "resolve" or arg == kpres:
+                calls[name] += 1
+            return fn(ring, arg, *rest, **kwargs)
+
+        return wrapper
+
+    # Patch every module that binds the name, so no call escapes the count.
+    for name in calls:
+        for mod in (radcube.cli, radcube.complexes, radcube.modules, radcube.theorems):
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, counted(name, vars(mod)[name]))
+    code, out, _ = run(
+        capsys, "check", "R4", str(wfile), "--theorems", "A,B,C", "--depth", "4"
+    )
+    assert code == 0
+    assert "[pass] d: I_R" in out
+    assert calls == {"verify_window": 1, "homology_of_dual": 1, "resolve": 1}
 
 
 def test_construct_refusal(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from radcube.errors import InputError
-from radcube.linalg import Mat, rank
+from radcube.linalg import Mat, nullspace, rank, solve_matrix
 from radcube.modules import (
     RModuleMap,
     coker_realize,
@@ -20,6 +20,7 @@ from radcube.modules import (
     minimalize,
     resolve,
     star,
+    submodule_realize,
     syzygy_step,
 )
 
@@ -157,10 +158,12 @@ def test_resolve_rejects_nonminimal(R1):
 
 def test_resolve_rejects_redundant_columns(R1):
     # [x x]: minimal entries but redundant columns; the syzygy picks up a
-    # unit coordinate, which must refuse rather than corrupt Betti numbers.
+    # unit coordinate, which must refuse rather than corrupt Betti numbers,
+    # also at n = 1, where beta_1 = 2 would otherwise be reported.
     pres = RModuleMap.from_entries(R1, [["x", "x"]])
-    with pytest.raises(InputError, match="minimally generate"):
-        resolve(R1, pres, 2)
+    for n in (1, 2):
+        with pytest.raises(InputError, match="minimally generate"):
+            resolve(R1, pres, n)
 
 
 def test_resolve_zero_steps(R4):
@@ -282,6 +285,34 @@ def test_star_free(R1):
     assert mstar.dim == R1.dim
     assert gen.ncols == 1
     assert not gen.is_minimal()  # R^* = R is free: generator is a unit
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda R: cyclic_presentation(R, "x + z"),
+        k_presentation,
+        lambda R: syzygy_step(R, k_presentation(R)),
+    ],
+    ids=["x + z", "k", "syzygy of k"],
+)
+def test_submodule_realize_reads_coordinates(R4, make):
+    # Reading each action off the identity rows of the kernel basis agrees
+    # with solving basis @ X = image by elimination.
+    pres = make(R4)
+    b = pres.nrows
+    kernel, free = nullspace(dual_map(pres).k_matrix())
+    m = submodule_realize(R4, b, kernel, free)
+    for op, act in zip(R4.basis_operators(), m.all_ops()):
+        image = Mat(R4.field, np.kron(np.eye(b, dtype=np.int64), op) @ kernel.a)
+        assert np.array_equal(solve_matrix(kernel, image).a, act)
+
+
+def test_submodule_realize_rejects_unclosed_span(R4):
+    # span{x} in R is not an ideal of R4: z * x = xz lies outside it.
+    x_only = Mat(R4.field, R4.element("x").vec.reshape(-1, 1))
+    with pytest.raises(InputError, match="does not span an R-submodule"):
+        submodule_realize(R4, 1, x_only, [1])
 
 
 # -- identities across the engine ---------------------------------------------
