@@ -14,7 +14,8 @@ Index conventions, fixed once for the whole package:
   interior homology vanishes.  No claim is ever made outside the window.
 
 * The dual complex has maps running the other way; its homology at i is
-  H_i = ker(d_{i+1}^T) / im(d_i^T), computable for lo < i < hi.
+  H_i = ker(d_{i+1}^T) / im(d_i^T), computable for lo < i < hi: the
+  formula of Ext^i(M, R), read off modules.ext_from_diffs for both.
 
 * A window memoizes its own analysis: `w.report()` is verify_window and
   `w.dual()` is homology_of_dual, each computed on first use, so the CLI
@@ -28,7 +29,8 @@ Index conventions, fixed once for the whole package:
 
   with P_0^T in degree 0, where P is the minimal resolution of M, Q the
   minimal resolution of M^* = Hom(M, R), and the connecting map G sends
-  the generators of Q_0 onto M^* viewed inside P_0^T.
+  the generators of Q_0 onto M^* viewed inside P_0^T.  The dualized half
+  holds P's own maps' dual()s, which share their memoized ranks with P.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .errors import ConstructionRefused, InputError
 from .modules import (
     RModuleMap,
     coker_realize,
-    dual_map,
     ext_from_diffs,
     has_k_summand,
     resolve,
@@ -183,19 +184,14 @@ def homology_of_dual(ring, w: ChainWindow) -> HomologyReport:
     Also reports the lengths of the kernels ker(d_i^T) = (Coker d_i)^*,
     which drive the equal-rank length bookkeeping of the theorem checks.
     """
-    dual_ranks = {}
-    nullities = {}
-    for i in range(w.lo + 1, w.hi + 1):
-        dual = dual_map(w.diff(i))
-        dual_ranks[i] = dual.k_rank()
-        nullities[i] = dual.k_matrix().cols - dual_ranks[i]
-    h = {}
-    for i in w.interior:
-        h[i] = nullities[i + 1] - dual_ranks[i]
+    dual_h = ext_from_diffs(ring, w.diffs)  # entry j is H_{lo+j}, for j >= 1
+    h = {i: dual_h[i - w.lo] for i in w.interior}
     return HomologyReport(
         h=h,
         zero_set=tuple(sorted(i for i, v in h.items() if v == 0)),
-        ker_star_lengths=nullities,
+        ker_star_lengths={
+            i: d.nrows * ring.dim - d.dual_rank() for i, d in enumerate(w.diffs, w.lo + 1)
+        },
     )
 
 
@@ -275,7 +271,7 @@ def construct_from_module(ring, pres: RModuleMap, n: int) -> ConstructionResult:
     # Degrees -n..0 carry the dualized resolution of M; degree j holds
     # P_{-j}^T and the differential d_j = (resolution d_{1-j})^T.
     neg_ranks = [betti.betti[i] for i in range(n, -1, -1)]  # b_{-n}..b_0
-    neg_diffs = [dual_map(diffs[-j]) for j in range(-n + 1, 1)]  # d_{-n+1}..d_0
+    neg_diffs = [diffs[-j].dual() for j in range(-n + 1, 1)]  # d_{-n+1}..d_0
     pos_diffs = [connecting]
     for _ in range(2, n + 1):
         pos_diffs.append(syzygy_step(ring, pos_diffs[-1]))

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
+
 __all__ = [
     "PrimeField",
     "Mat",
@@ -70,9 +72,9 @@ class PrimeField:
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not (2 <= p < 2**31):
-            raise ValueError(f"modulus must be an integer in [2, 2^31), got {p!r}")
+            raise InputError(f"modulus must be an integer in [2, 2^31), got {p!r}")
         if not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+            raise InputError(f"modulus {p} is not prime")
         self.p = p
 
     def __eq__(self, other) -> bool:
@@ -122,10 +124,6 @@ class Mat:
         m.field = field
         m.a = a
         return m
-
-    @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> "Mat":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "Mat":

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import Mat, nullspace, nullspace_basis, pivots, rank, rref
+from .linalg import Mat, RrefResult, nullspace, nullspace_basis, pivots, rank, rref
 from .rings import RingElement, RingPresentation, parse_element
 
 __all__ = [
@@ -60,7 +60,7 @@ __all__ = [
 class RModuleMap:
     """A b0 x b1 matrix over the ring, as the map R^{b1} -> R^{b0}."""
 
-    __slots__ = ("ring", "arr", "_kmat", "_krank", "_ktrank")
+    __slots__ = ("ring", "arr", "_kmat", "_krank", "_kdrank", "_ktrank", "_dual")
 
     def __init__(self, ring: RingPresentation, arr):
         self.ring = ring
@@ -72,22 +72,58 @@ class RModuleMap:
         a.setflags(write=False)
         self.arr = a
         self._kmat: Mat | None = None
-        # Ranks of the k-matrix and its transpose, stashed by whichever
-        # operation computes them as a byproduct (syzygy_step, coker_realize).
-        self._krank: int | None = None
-        self._ktrank: int | None = None
+        # Memos of rank K(f), K(f^T) and K(f)^T, written only by this map's
+        # methods; _dual is the map this one is the dual() of, if any.
+        self._krank = self._kdrank = self._ktrank = None
+        self._dual: RModuleMap | None = None
+
+    def dual(self) -> "RModuleMap":
+        """Hom(f, R), the transpose matrix R^{b0} -> R^{b1}, linked back to f
+        (f.dual().dual() is f) so that the pair shares rank K(f^T)."""
+        if self._dual is not None:
+            return self._dual
+        g = RModuleMap(self.ring, np.transpose(self.arr, (1, 0, 2)))
+        g._dual = self
+        return g
+
+    def kernel(self) -> tuple[Mat, list[int]]:
+        """nullspace(k_matrix()), not kept; memoizes the rank it implies."""
+        kernel, free = nullspace(self.k_matrix())
+        self._krank = kernel.rows - kernel.cols
+        return kernel, free
 
     def k_rank(self) -> int:
-        """rank of k_matrix(); cached, filled for free by syzygy_step."""
+        """rank of k_matrix(); memoized, and filled for free by kernel()."""
         if self._krank is None:
-            self._krank = rank(self.k_matrix())
+            f = self._dual
+            self._krank = f.dual_rank() if f is not None else rank(self.k_matrix())
         return self._krank
+
+    def dual_rank(self) -> int:
+        """rank of K(f^T), the k-matrix of dual(); memoized.  A cached K(f) is
+        ranked with its D x D blocks moved to transposed positions: K(f^T)."""
+        if self._dual is not None:
+            return self._dual.k_rank()
+        if self._kdrank is None:
+            if self._kmat is None:
+                self._kdrank = rank(self.dual().k_matrix())
+            else:
+                b0, b1, d = self.arr.shape
+                kt = self._kmat.a.reshape(b0, d, b1, d).transpose(2, 1, 0, 3)
+                self._kdrank = rank(Mat._reduced(self.ring.field, kt.reshape(b1 * d, b0 * d)))
+        return self._kdrank
 
     def kt_rank(self) -> int:
         """rank of the transposed k-matrix, computed by its own elimination."""
         if self._ktrank is None:
             self._ktrank = rank(self.k_matrix().transpose())
         return self._ktrank
+
+    def kt_rref(self) -> RrefResult:
+        """rref of the transposed k-matrix, not kept; memoizes its rank."""
+        res = rref(self.k_matrix().transpose())
+        self._ktrank = res.rank
+        return res
 
     @classmethod
     def from_entries(cls, ring: RingPresentation, rows) -> "RModuleMap":
@@ -136,15 +172,10 @@ class RModuleMap:
             ring = self.ring
             d = ring.dim
             b0, b1 = self.nrows, self.ncols
-            if b0 == 0 or b1 == 0:
-                self._kmat = Mat.zeros(ring.field, b0 * d, b1 * d)
-            else:
-                t = ring.mult_tensor()
-                blocks = np.einsum("ijA,Abc->ijcb", self.arr, t) % ring.p
-                self._kmat = Mat._reduced(
-                    ring.field,
-                    np.transpose(blocks, (0, 2, 1, 3)).reshape(b0 * d, b1 * d),
-                )
+            blocks = np.einsum("ijA,Abc->ijcb", self.arr, ring.mult_tensor()) % ring.p
+            self._kmat = Mat._reduced(
+                ring.field, np.transpose(blocks, (0, 2, 1, 3)).reshape(b0 * d, b1 * d)
+            )
         return self._kmat
 
     def compose(self, other: "RModuleMap") -> "RModuleMap":
@@ -192,8 +223,8 @@ class RModuleMap:
 
 
 def dual_map(f: RModuleMap) -> RModuleMap:
-    """Hom(f, R): the transpose matrix R^{b0} -> R^{b1}."""
-    return RModuleMap(f.ring, np.transpose(f.arr, (1, 0, 2)))
+    """Hom(f, R): the transpose matrix R^{b0} -> R^{b1}, as f.dual()."""
+    return f.dual()
 
 
 def _apply_blockwise(op: np.ndarray, vecs: np.ndarray, b: int, d: int, p: int) -> np.ndarray:
@@ -249,10 +280,23 @@ class KModule:
 
     @property
     def msub_dim(self) -> int:
-        """rank_k of m*M; cached (k_summand_multiplicity fills it for free)."""
+        """rank_k of m*M; memoized (k_summand_multiplicity fills it for free)."""
         if self._msub_rank is None:
             self._msub_rank = rank(self.m_image())
         return self._msub_rank
+
+    def k_summand_multiplicity(self) -> int:
+        """dim_k Soc(M)/(Soc(M) n mM), the number of k-summands split off, as
+        rank [m*M | socle basis] - rank(mM); one elimination gives both, and
+        msub_dim memoizes rank(mM)."""
+        soc = self.socle_basis()
+        mm = self.m_image()
+        if soc.cols == 0:
+            return 0
+        combined = Mat._reduced(self.ring.field, np.concatenate([mm.a, soc.a], axis=1))
+        piv = pivots(combined)
+        self._msub_rank = sum(1 for c in piv if c < mm.cols)
+        return len(piv) - self._msub_rank
 
     @property
     def gens(self) -> int:
@@ -330,22 +374,8 @@ def has_k_summand(m: KModule) -> bool:
 
 
 def k_summand_multiplicity(m: KModule) -> int:
-    """dim_k Soc(M)/(Soc(M) n mM): the number of k-summands split off.
-
-    One elimination of [m*M | socle basis] delivers both rank(mM) (pivots
-    inside the first block) and rank of the sum; the multiplicity is the
-    difference.
-    """
-    soc = m.socle_basis()
-    mm = m.m_image()
-    if soc.cols == 0:
-        return 0
-    combined = Mat._reduced(m.ring.field, np.concatenate([mm.a, soc.a], axis=1))
-    piv = pivots(combined)
-    boundary = mm.cols
-    inside = sum(1 for c in piv if c < boundary)
-    m._msub_rank = inside
-    return len(piv) - inside
+    """dim_k Soc(M)/(Soc(M) n mM), as m.k_summand_multiplicity()."""
+    return m.k_summand_multiplicity()
 
 
 def matlis_dual(m: KModule) -> KModule:
@@ -393,7 +423,7 @@ def prune_zero_columns(pres: RModuleMap) -> RModuleMap:
 
 
 def _module_generators(
-    ring: RingPresentation, b: int, kernel: Mat, free: list[int] | None = None
+    ring: RingPresentation, b: int, kernel: Mat, free: list[int]
 ) -> RModuleMap:
     """Minimal generating matrix of the submodule of R^b spanned by kernel.
 
@@ -402,11 +432,11 @@ def _module_generators(
     given column order against the span of m*K; the greedy set is exactly
     the RREF pivot selection on [m*K | K].
 
-    When `free` gives the canonical free-coordinate rows of the basis (the
-    rows carrying its identity block), the selection runs in kernel
-    coordinates: m*K lies inside K, its coordinate vectors are read off
-    those rows, and left-multiplying [m*K | K] by the injective basis does
-    not change which columns are pivots.
+    `free` gives the canonical free-coordinate rows of the basis (the rows
+    carrying its identity block, as nullspace returns them), so the
+    selection runs in kernel coordinates: m*K lies inside K, its coordinate
+    vectors are read off those rows, and left-multiplying [m*K | K] by the
+    injective basis does not change which columns are pivots.
     """
     d = ring.dim
     if kernel.cols == 0 or b == 0:
@@ -418,12 +448,10 @@ def _module_generators(
     mk = np.concatenate(mk_parts, axis=1) if mk_parts else np.zeros(
         (b * d, 0), dtype=np.int64
     )
-    if free is not None:
-        mk_coords = mk[free, :]
-        eye = np.eye(kernel.cols, dtype=np.int64)
-        stacked = Mat._reduced(ring.field, np.concatenate([mk_coords, eye], axis=1))
-    else:
-        stacked = Mat._reduced(ring.field, np.concatenate([mk, kernel.a], axis=1))
+    # Kept until return: freeing it before pivots doubled a window check's page faults.
+    mk_coords = mk[free, :]
+    eye = np.eye(kernel.cols, dtype=np.int64)
+    stacked = Mat._reduced(ring.field, np.concatenate([mk_coords, eye], axis=1))
     chosen = [c - mk.shape[1] for c in pivots(stacked) if c >= mk.shape[1]]
     cols = kernel.a[:, chosen]
     # Column j reshaped (b, D) is the j-th generator as a ring-element vector.
@@ -435,8 +463,7 @@ def syzygy_step(ring: RingPresentation, f: RModuleMap) -> RModuleMap:
     """Minimal generating matrix G: R^c -> R^{b1} of Ker f."""
     if f.ring != ring:
         raise InputError("map does not live over the given ring")
-    kernel, free = nullspace(f.k_matrix())
-    f._krank = f.k_matrix().cols - kernel.cols
+    kernel, free = f.kernel()
     return _module_generators(ring, f.ncols, kernel, free)
 
 
@@ -485,11 +512,11 @@ def resolve(
 def ext_from_diffs(ring: RingPresentation, diffs: list[RModuleMap]) -> list[int]:
     """dim_k Ext^i(M, R) for i = 0..len(diffs)-1 from a resolution d_1, d_2, ...
 
-    Ext^i is ker(d_{i+1}^T)/im(d_i^T) on the dualized resolution; its
-    dimension is the nullity of d_{i+1}^T minus the rank of d_i^T (with
-    d_0^T = 0).  Ext^0 = dim_k Hom(M, R) = dim_k M^*.
+    The one dual-homology formula, also behind homology_of_dual: entry i
+    is dim_k ker(d_{i+1}^T)/im(d_i^T), the nullity of d_{i+1}^T minus the
+    rank of d_i^T (with d_0^T = 0).  Ext^0 = dim_k Hom(M, R) = dim_k M^*.
     """
-    dual_rank = [0] + [dual_map(f).k_rank() for f in diffs]
+    dual_rank = [0] + [f.dual_rank() for f in diffs]
     return [
         f.nrows * ring.dim - dual_rank[i + 1] - dual_rank[i]
         for i, f in enumerate(diffs)
@@ -501,28 +528,6 @@ def ext_dims(ring: RingPresentation, pres: RModuleMap, n: int) -> list[int]:
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
     return ext_from_diffs(ring, resolve(ring, pres, n)[1])
-
-
-def _quotient_data(ring: RingPresentation, rel: Mat, b: int):
-    """Canonical quotient of R^b (as k^{bD}) by the column space of rel.
-
-    Returns (reduction matrix, embedded basis positions): the quotient
-    basis is the set of non-pivot coordinates of the RREF of rel^T, and
-    reduction rewrites any vector in those coordinates.
-    """
-    d = ring.dim
-    big = b * d
-    res = rref(rel.transpose())
-    piv = list(res.pivots)
-    pivset = set(piv)
-    nonpiv = [c for c in range(big) if c not in pivset]
-    red = np.zeros((len(nonpiv), big), dtype=np.int64)
-    if nonpiv:
-        red[np.arange(len(nonpiv)), nonpiv] = 1
-    if piv and nonpiv:
-        ech = res.matrix.a[: len(piv), :]
-        red[:, piv] = (-ech[:, nonpiv].T) % ring.p
-    return red, nonpiv
 
 
 def coker_realize(ring: RingPresentation, pres: RModuleMap) -> KModule:
@@ -537,9 +542,14 @@ def coker_realize(ring: RingPresentation, pres: RModuleMap) -> KModule:
         raise InputError("presentation has unit entries; apply minimalize first")
     b = pres.nrows
     d = ring.dim
-    red, nonpiv = _quotient_data(ring, pres.k_matrix(), b)
+    # The quotient basis is the non-pivot coordinates of the RREF of K^T.
+    res = pres.kt_rref()
+    piv = list(res.pivots)
+    nonpiv = sorted(set(range(b * d)) - set(piv))
     dm = len(nonpiv)
-    pres._ktrank = b * d - dm
+    red = np.zeros((dm, b * d), dtype=np.int64)
+    red[np.arange(dm), nonpiv] = 1
+    red[:, piv] = (-res.matrix.a[: len(piv), nonpiv].T) % ring.p
     ops = ring.basis_operators()
     nops = len(ops)
     nonpiv_arr = np.array(nonpiv, dtype=np.int64)
@@ -592,8 +602,7 @@ def star(
     """
     if not pres.is_minimal():
         raise InputError("presentation has unit entries; apply minimalize first")
-    dual = dual_map(pres)
-    kernel, free = nullspace(dual.k_matrix())
+    kernel, free = pres.dual().kernel()
     gen = _module_generators(ring, pres.nrows, kernel, free)
     mstar = submodule_realize(ring, pres.nrows, kernel, free)
     return mstar, gen

@@ -444,7 +444,7 @@ def parse_quadric(text: str, var_names: list[str], p: int) -> np.ndarray:
                 raise ParseError(f"unknown variable {nm!r}", col=ncol)
             idxs.extend([index[nm]] * pw)
         i, j = sorted(idxs)
-        out[pair_pos[(i, j)]] = (out[pair_pos[(i, j)]] + sign * coeff) % p
+        out[pair_pos[(i, j)]] = (out[pair_pos[(i, j)]] + sign * coeff % p) % p
     return out
 
 
@@ -456,7 +456,7 @@ def parse_element(ring: RingPresentation, text: str) -> RingElement:
     for sign, factors, col in _split_terms(_tokenize(text), len(text)):
         coeff, nms = _term_factors(factors, col)
         if len(nms) == 0:
-            vec[0] = (vec[0] + sign * coeff) % ring.p
+            vec[0] = (vec[0] + sign * coeff % ring.p) % ring.p
             continue
         if len(nms) > 1 or nms[0][1] != 1:
             raise ParseError(
@@ -467,7 +467,7 @@ def parse_element(ring: RingPresentation, text: str) -> RingElement:
         nm, _, ncol = nms[0]
         if nm not in index:
             raise ParseError(f"unknown basis name {nm!r}", col=ncol)
-        vec[index[nm]] = (vec[index[nm]] + sign * coeff) % ring.p
+        vec[index[nm]] = (vec[index[nm]] + sign * coeff % ring.p) % ring.p
     return RingElement(ring, vec)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,14 +37,6 @@ from .theorems import (
 )
 
 __all__ = ["run_all", "CRITERIA", "random_ring_corpus"]
-
-
-@dataclass
-class CriterionResult:
-    name: str
-    ok: bool
-    detail: str
-    seconds: float
 
 
 def _fail(msgs: list[str], cond: bool, msg: str) -> bool:

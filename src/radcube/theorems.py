@@ -431,11 +431,16 @@ def exceptionality(ring, pres, h: int) -> ExceptionalityReport:
     """
     if h < 1:
         raise InputError(f"need h >= 1, got {h}")
+    return _exceptionality(ring, coker_realize(ring, pres), lambda: resolve(ring, pres, h + 1), h)
+
+
+def _exceptionality(ring, m0, resolution, h: int) -> ExceptionalityReport:
+    """exceptionality on M = m0 realized; resolution() gives (betti, diffs)
+    of M to depth >= h + 1 and runs only once the hypotheses hold."""
     notes = []
     inv = ring.invariants()
     if not inv.soc_eq_msq:
         notes.append("hypothesis not met: Soc R != m^2")
-    m0 = coker_realize(ring, pres)
     if m0.dim == 0:
         notes.append("hypothesis not met: M = 0")
     if m0.y_ops.any():
@@ -443,8 +448,8 @@ def exceptionality(ring, pres, h: int) -> ExceptionalityReport:
     if notes:
         return ExceptionalityReport(False, tuple(notes), (), (), False, False, False, None)
     e, r = inv.e, inv.r
-    betti, diffs = resolve(ring, pres, h + 1)
-    b = betti.betti
+    betti, diffs = resolution()
+    b = betti.betti[: h + 2]
     syzygies = [coker_realize(ring, diffs[i]) for i in range(1, h + 1)]  # M_1..M_h
     per = []
     prev = m0
@@ -528,7 +533,8 @@ def lemma_checks(ring, pres, n: int = 4) -> LemmaChecksReport:
             m0.msub_dim + m0.gens,
         )
     )
-    ext = ext_dims(ring, pres, n + 2)
+    betti, diffs = resolve(ring, pres, n + 2)
+    ext = ext_from_diffs(ring, diffs)
     # Ext^i(k, R) for i <= n, resolved on first use only.
     k_ext = functools.cache(lambda: ext_dims(ring, k_presentation(ring), n + 1))
     m2m_zero = not m0.y_ops.any()
@@ -563,7 +569,7 @@ def lemma_checks(ring, pres, n: int = 4) -> LemmaChecksReport:
         )
     else:
         if m2m_zero:
-            rep = exceptionality(ring, pres, n)
+            rep = _exceptionality(ring, m0, lambda: (betti, diffs), n)
             checks.append(
                 CheckOutcome(
                     f"Ext^{n+1} = 0 implies no k-summand in first {n} syzygies",

@@ -39,6 +39,21 @@ def test_ring_info_parse_error(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_ring_info_bad_numbers_exit_cleanly(tmp_path, capsys):
+    # A composite modulus is refused as bad input; a coefficient beyond
+    # int64 is reduced mod p like any other.
+    for text, want in (
+        ("p = 6\nvars = x, y\nrelations = x^2, y^2\n", 2),
+        ("p = 5\nvars = x, y\nrelations = 99999999999999999999*x^2, y^2\n", 0),
+    ):
+        ring_file = tmp_path / "r.ring"
+        ring_file.write_text(text)
+        code, _, err = run(capsys, "ring-info", str(ring_file))
+        assert code == want
+        assert "Traceback" not in err
+        assert want == 0 or err.startswith("error: modulus 6 is not prime")
+
+
 def test_resolve_periodic(capsys):
     code, out, _ = run(capsys, "resolve", "R4", "R4/xpz", "--steps", "6", "--ext")
     assert code == 0

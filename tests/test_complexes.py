@@ -181,6 +181,22 @@ def test_construct_negative_side_dualizes_back(R4):
     assert res.window.diff(1) == gen
 
 
+@pytest.mark.parametrize(
+    "ring_name, module, n, ranks, nullspaces",
+    [("R1", None, 5, 13, 11), ("R4", "x + z", 8, 19, 17)],
+)
+def test_construct_eliminates_each_k_matrix_once(
+    request, count_calls, ring_name, module, n, ranks, nullspaces
+):
+    # The Ext check, the verification and the dual homology share their
+    # ranks: the dualized half holds the resolution's own maps' duals.
+    ring = request.getfixturevalue(ring_name)
+    pres = k_presentation(ring) if module is None else cyclic_presentation(ring, module)
+    calls = count_calls(["rank", "nullspace"])
+    construct_from_module(ring, pres, n)
+    assert calls == {"rank": ranks, "nullspace": nullspaces}
+
+
 def test_construct_length_rank_nullity(R4):
     # l(Ker d_i^T) + l(Im d_i^T) = b_{i-1} * length(R) at every degree,
     # with the kernel length taken from the dual-homology report.

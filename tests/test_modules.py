@@ -189,6 +189,16 @@ def test_dual_map_transpose(R1):
     assert dual_map(g) == g
 
 
+def test_dual_shares_ranks_with_its_map(R4):
+    _, diffs = resolve(R4, k_presentation(R4), 4)
+    for f in diffs:  # the last one has no cached k-matrix
+        g = f.dual()
+        assert g.dual() is f
+        fresh = RModuleMap(R4, g.arr)
+        assert f.dual_rank() == g.k_rank() == rank(fresh.k_matrix())
+        assert g.dual_rank() == f.k_rank() == rank(f.k_matrix())
+
+
 def test_ext_k_self_injective(R1):
     assert ext_dims(R1, k_presentation(R1), 4) == [1, 0, 0, 0]
 

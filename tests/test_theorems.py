@@ -227,6 +227,14 @@ def test_lemma_checks_flagship(R4):
     assert rep.passed
 
 
+def test_lemma_checks_resolves_and_realizes_m_once(R4, count_calls):
+    pres = cyclic_presentation(R4, "x + z")
+    calls = count_calls(["resolve", "coker_realize"], lambda args: args[1] is pres)
+    rep = lemma_checks(R4, pres, 4)
+    assert any(c.name.startswith("Ext^5 = 0 implies") for c in rep.checks)
+    assert calls == {"resolve": 1, "coker_realize": 1}
+
+
 def test_lemma_checks_skips_dual_length(R4):
     rep = lemma_checks(R4, k_presentation(R4), 4)
     dual = [c for c in rep.checks if c.name.startswith("dual length")][0]
