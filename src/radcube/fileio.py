@@ -70,6 +70,12 @@ __all__ = [
 ]
 
 
+# Declared sizes (e and s of the explicit ring form, module rows and cols,
+# window ranks) are not counted from the text; each, and e*e*s, is bounded
+# before numpy allocates: 2^20 lies far beyond desk scale (8 MiB of int64).
+_MAX_DECLARED = 1 << 20
+
+
 def _scan(text: str):
     """Yield (lineno, content) for significant lines, comments stripped."""
     out = []
@@ -146,6 +152,12 @@ def parse_ring(text: str) -> RingPresentation:
         e, s = int(eline[1]), int(sline[1])
     except ValueError:
         raise ParseError("e and s must be integers", line=eline[0])
+    if e < 1:
+        raise ParseError(f"need e >= 1, got {e}", line=eline[0])
+    if not 1 <= s <= e * (e + 1) // 2:
+        raise ParseError(f"need 1 <= s <= e(e+1)/2 = {e * (e + 1) // 2}, got {s}", line=sline[0])
+    if e * e * s > _MAX_DECLARED:
+        raise ParseError(f"too many structure constants: e*e*s = {e * e * s}", line=sline[0])
     c = np.zeros((e, e, s), dtype=np.int64)
     for lineno, value in fields.get("mult", []):
         parts = value.split()
@@ -209,8 +221,8 @@ def parse_module(text: str, ring: RingPresentation) -> RModuleMap:
         if key not in header:
             raise ParseError(f"missing required field {key!r}", line=1)
     rows, cols = header["rows"], header["cols"]
-    if rows < 0 or cols < 0:
-        raise ParseError("rows and cols must be nonnegative", line=1)
+    if not (0 <= rows <= _MAX_DECLARED and 0 <= cols <= _MAX_DECLARED):
+        raise ParseError(f"rows and cols must lie in [0, {_MAX_DECLARED}]", line=1)
     body = lines[idx:]
     if rows > 0 and cols > 0:
         if matrix_line is None:
@@ -258,6 +270,8 @@ def parse_window(text: str, ring: RingPresentation) -> ChainWindow:
     lo, hi, ranks = header["lo"], header["hi"], header["ranks"]
     if hi <= lo:
         raise ParseError(f"need lo < hi, got [{lo},{hi}]", line=1)
+    if not all(0 <= b <= _MAX_DECLARED for b in ranks):
+        raise ParseError(f"ranks must lie in [0, {_MAX_DECLARED}]", line=1)
     if len(ranks) != hi - lo + 1:
         raise ParseError(
             f"ranks lists {len(ranks)} values for window [{lo},{hi}] "

@@ -191,15 +191,18 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def _matmul_int64(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     # int64 products are exact as long as the accumulated dot products stay
-    # below 2**63; chunk the inner dimension when p is large enough to risk
-    # overflow.
+    # below 2**63.  When p is too large for that, b is split into 16-bit
+    # limbs, b = hi * 2**16 + lo: each term a * lo is below 2**47 (a * hi
+    # below 2**46), so a chunk of 2**15 inner indices sums either limb
+    # product exactly, and two products per chunk replace one per index.
     inner = a.shape[1]
-    safe = (2**62) // max(1, (p - 1) ** 2)
-    if inner <= safe:
+    if inner * (p - 1) ** 2 < 2**62:
         return np.mod(a @ b, p)
+    hi, lo = np.divmod(b, 1 << 16)
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for k in range(0, inner, safe):
-        out = np.mod(out + a[:, k : k + safe] @ b[k : k + safe, :], p)
+    for k in range(0, inner, 1 << 15):
+        ks = slice(k, k + (1 << 15))
+        out = np.mod(out + (np.mod(a[:, ks] @ hi[ks], p) << 16) + a[:, ks] @ lo[ks], p)
     return out
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import Mat, RrefResult, nullspace, nullspace_basis, pivots, rank, rref
+from .linalg import Mat, RrefResult, _matmul_mod, nullspace, nullspace_basis, pivots, rank, rref
 from .rings import RingElement, RingPresentation, parse_element
 
 __all__ = [
@@ -169,31 +169,26 @@ class RModuleMap:
     def k_matrix(self) -> Mat:
         """The underlying k-linear map (b0*D) x (b1*D); cached."""
         if self._kmat is None:
-            ring = self.ring
-            d = ring.dim
-            b0, b1 = self.nrows, self.ncols
-            blocks = np.einsum("ijA,Abc->ijcb", self.arr, ring.mult_tensor()) % ring.p
+            b0, b1, d = self.arr.shape
+            blocks = self.ring.operator(self.arr)
             self._kmat = Mat._reduced(
-                ring.field, np.transpose(blocks, (0, 2, 1, 3)).reshape(b0 * d, b1 * d)
+                self.ring.field, np.transpose(blocks, (0, 2, 1, 3)).reshape(b0 * d, b1 * d)
             )
         return self._kmat
 
     def compose(self, other: "RModuleMap") -> "RModuleMap":
-        """Matrix product self @ other over the ring."""
+        """Matrix product self @ other over the ring: K(self) applied to the
+        columns of other, each read as a vector of k^{b*D}."""
         if self.ring != other.ring:
             raise InputError("maps over different rings")
         if self.ncols != other.nrows:
             raise InputError(
                 f"shape mismatch: ({self.nrows},{self.ncols}) o ({other.nrows},{other.ncols})"
             )
-        if self.ncols == 0 or self.nrows == 0 or other.ncols == 0:
-            return RModuleMap.zeros(self.ring, self.nrows, other.ncols)
-        t = self.ring.mult_tensor()
-        prod = (
-            np.einsum("ijA,jkB,ABc->ikc", self.arr, other.arr, t, optimize=True)
-            % self.ring.p
-        )
-        return RModuleMap(self.ring, prod)
+        b1, b2, d = other.arr.shape
+        cols = np.transpose(other.arr, (0, 2, 1)).reshape(b1 * d, b2)
+        prod = (self.k_matrix() @ Mat._reduced(self.ring.field, cols)).a
+        return RModuleMap(self.ring, np.transpose(prod.reshape(self.nrows, d, b2), (0, 2, 1)))
 
     def composes_to_zero(self, other: "RModuleMap"):
         """(True, None) if self o other = 0, else (False, (row, col)).
@@ -231,8 +226,8 @@ def _apply_blockwise(op: np.ndarray, vecs: np.ndarray, b: int, d: int, p: int) -
     """Apply the block-diagonal lift of op (D x D) to columns of k^{bD}."""
     if vecs.shape[1] == 0 or b == 0:
         return np.zeros_like(vecs)
-    v3 = vecs.reshape(b, d, vecs.shape[1])
-    return (np.einsum("cw,bwd->bcd", op, v3) % p).reshape(b * d, vecs.shape[1])
+    v = np.transpose(vecs.reshape(b, d, -1), (1, 0, 2)).reshape(d, -1)
+    return np.transpose(_matmul_mod(op, v, p).reshape(d, b, -1), (1, 0, 2)).reshape(b * d, -1)
 
 
 class KModule:
@@ -326,20 +321,20 @@ class KModule:
         x, y = self.x_ops, self.y_ops
         for i in range(e):
             for j in range(i, e):
-                left = x[i] @ x[j] % p
-                if not np.array_equal(left, x[j] @ x[i] % p):
+                left = _matmul_mod(x[i], x[j], p)
+                if not np.array_equal(left, _matmul_mod(x[j], x[i], p)):
                     issues.append(f"x{i+1} and x{j+1} actions do not commute")
-                comb = np.tensordot(self.ring.c[i, j], y, axes=(0, 0)) % p if s else 0
-                if not np.array_equal(left, comb):
+                comb = _matmul_mod(self.ring.c[i, j][None], y.reshape(s, -1), p)
+                if not np.array_equal(left, comb.reshape(left.shape)):
                     issues.append(
                         f"x{i+1}*x{j+1} action disagrees with structure constants"
                     )
         for t in range(s):
             for i in range(e):
-                if (y[t] @ x[i] % p).any() or (x[i] @ y[t] % p).any():
+                if _matmul_mod(y[t], x[i], p).any() or _matmul_mod(x[i], y[t], p).any():
                     issues.append(f"u{t+1}*x{i+1} action nonzero (m^3 = 0 violated)")
             for t2 in range(s):
-                if (y[t] @ y[t2] % p).any():
+                if _matmul_mod(y[t], y[t2], p).any():
                     issues.append(f"u{t+1}*u{t2+1} action nonzero (m^4 = 0 violated)")
         return issues
 
@@ -397,7 +392,6 @@ def minimalize(pres: RModuleMap) -> RModuleMap:
     """
     ring = pres.ring
     arr = pres.arr.copy()
-    t = ring.mult_tensor()
     while True:
         units = np.argwhere(arr[:, :, 0] != 0)
         if units.size == 0:
@@ -406,9 +400,10 @@ def minimalize(pres: RModuleMap) -> RModuleMap:
         u = RingElement(ring, arr[i, j])
         uinv = u.inverse().vec
         # Row operations: row_k -= (entry_kj * u^{-1}) * row_i for k != i.
-        factors = np.einsum("kA,B,ABc->kc", arr[:, j, :], uinv, t) % ring.p
-        update = np.einsum("kA,jB,ABc->kjc", factors, arr[i, :, :], t) % ring.p
-        arr = (arr - update) % ring.p
+        factors = _matmul_mod(arr[:, j, :], ring.operator(uinv).T, ring.p)
+        b0, b1, d = arr.shape
+        update = _matmul_mod(ring.operator(factors).reshape(b0 * d, d), arr[i].T, ring.p)
+        arr = (arr - np.transpose(update.reshape(b0, d, b1), (0, 2, 1))) % ring.p
         # Column operations would now only touch row i, which is deleted.
         arr = np.delete(np.delete(arr, i, axis=0), j, axis=1)
     return RModuleMap(ring, arr)

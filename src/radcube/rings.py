@@ -9,7 +9,9 @@ degree-1 elements are given by structure constants
 and every product of total degree >= 3 vanishes.  The maximal ideal is
 m = V1 + V2, so m^2 = V2 (the structure constants are required to span V2)
 and m^3 = 0.  Elements are coefficient vectors of length 1 + e + s split as
-(constant, degree-1 part, degree-2 part).
+(constant, degree-1 part, degree-2 part).  Every ring product is one exact
+product with the structure constants (`RingPresentation.operator`), so ring
+arithmetic is exact for every admitted prime p < 2^31.
 
 Principal invariants: the embedding dimension e = dim m/m^2, the socle
 dimension r = dim (0:m), the length 1 + e + s, and whether Soc R = m^2
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ParseError
-from .linalg import Mat, PrimeField, nullspace_basis, rank, rref
+from .linalg import Mat, PrimeField, _matmul_mod, nullspace_basis, rank, rref
 
 __all__ = [
     "RingPresentation",
@@ -79,7 +81,6 @@ class RingPresentation:
         self.y_monomials = list(y_monomials) if y_monomials else None
         self.dim = 1 + e + s
         self._mult_tensor: np.ndarray | None = None
-        self._basis_ops: np.ndarray | None = None
 
     # -- basic structure -------------------------------------------------
 
@@ -120,25 +121,17 @@ class RingPresentation:
     def mult_tensor(self) -> np.ndarray:
         """T[a,b,:] = coefficients of basis[a] * basis[b]; shape (dim,)*3."""
         if self._mult_tensor is None:
-            d = self.dim
+            d, e = self.dim, self.e
             t = np.zeros((d, d, d), dtype=np.int64)
-            for b in range(d):
-                t[0, b, b] = 1
-                t[b, 0, b] = 1
-            t[0, 0, 0] = 1
-            t[1 : 1 + self.e, 1 : 1 + self.e, 1 + self.e :] = self.c
+            t[0] = t[:, 0] = np.eye(d, dtype=np.int64)
+            t[1 : 1 + e, 1 : 1 + e, 1 + e :] = self.c
             t.setflags(write=False)
             self._mult_tensor = t
         return self._mult_tensor
 
     def basis_operators(self) -> np.ndarray:
         """Multiplication operators of x_1..x_e, u_1..u_s; shape (e+s, D, D)."""
-        if self._basis_ops is None:
-            basis_vectors = np.eye(self.dim, dtype=np.int64)[1:]
-            ops = np.stack([self.operator(v) for v in basis_vectors])
-            ops.setflags(write=False)
-            self._basis_ops = ops
-        return self._basis_ops
+        return self.mult_tensor()[1:].transpose(0, 2, 1)
 
     # -- elements --------------------------------------------------------
 
@@ -168,13 +161,15 @@ class RingPresentation:
         return RingElement(self, v)
 
     def mult_vec(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        t = self.mult_tensor()
-        return np.einsum("a,b,abc->c", u, v, t) % self.p
+        """Coefficients of u * v: operator(u) @ v."""
+        return _matmul_mod(self.operator(u), np.asarray(v)[:, None], self.p)[:, 0]
 
     def operator(self, vec: np.ndarray) -> np.ndarray:
-        """Multiplication-by-element matrix on the basis (dim x dim)."""
-        t = self.mult_tensor()
-        return np.einsum("a,abc->cb", vec, t) % self.p
+        """Multiplication matrices (..., dim, dim) of elements (..., dim): one
+        product with the structure constants, exact for every admitted prime."""
+        vec, d = np.asarray(vec), self.dim
+        t = self.mult_tensor().transpose(0, 2, 1).reshape(d, d * d)
+        return _matmul_mod(vec.reshape(-1, d), t, self.p).reshape(vec.shape + (d,))
 
     def mult(self, a: "RingElement", b: "RingElement") -> "RingElement":
         if a.ring is not self and a.ring != self:
@@ -268,7 +263,7 @@ class RingElement:
     def __mul__(self, other):
         if isinstance(other, RingElement):
             return self.ring.mult(self, other)
-        return RingElement(self.ring, (self.vec * int(other)) % self.ring.p)
+        return RingElement(self.ring, self.vec * (int(other) % self.ring.p) % self.ring.p)
 
     __rmul__ = __mul__
 

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from radcube import cli
 from radcube.catalog import CATALOG, resolve_module, resolve_ring, verify_catalog
 from radcube.complexes import construct_from_module, verify_window
 from radcube.errors import InputError, ParseError
@@ -52,6 +54,17 @@ def test_parse_ring_errors_carry_positions():
         parse_ring("p = 5\nvars = x\ne = 1\ns = 1\n")
     with pytest.raises(ParseError, match="out of range"):
         parse_ring("p = 5\ne = 2\ns = 1\nmult = 1 3 1 1\n")
+
+
+def test_parse_ring_refuses_declared_sizes(tmp_path):
+    # Each size is refused on its own line, before any array is allocated.
+    for e, s, line in [(2, -1, 3), (0, 1, 2), (2, 4, 3), (2, 9999999999, 3), (200, 100, 3)]:
+        text = f"p = 5\ne = {e}\ns = {s}\n"
+        with pytest.raises(ParseError, match=f"line {line}"):
+            parse_ring(text)
+        path = tmp_path / "ring.txt"
+        path.write_text(text)
+        assert cli.main(["ring-info", str(path)]) == 2
 
 
 def test_parse_module_roundtrip(R4):
@@ -133,3 +146,48 @@ def test_catalog_resolution(tmp_path):
         resolve_ring("NOPE")
     with pytest.raises(InputError):
         resolve_module("R4/nope", ring)
+
+
+# Small templates of each format; fuzzed numbers are small or far beyond any
+# size the machine could allocate, so a missing bound fails fast.
+FUZZ_TEMPLATES = [
+    ("ring", "p = {}\ne = {}\ns = {}\nmult = {} {} {} {}\nmult = 1 2 {} 3\n"),
+    ("ring", "p = {}\nvars = x, y, z\nrelations = x^{}, {}*x*y, y^2 - {}*z^2\n"),
+    ("module", "rows = {}\ncols = {}\nmatrix =\nx, {}*y\n{}*z, u{}\n"),
+    ("module", "rows = {}\ncols = {}\n"),
+    ("window", "lo = {}\nhi = {}\nranks = {}, {}, {}\ndiff = {}\nx + z\ndiff = {}\nx - {}*z\n"),
+    ("window", "lo = {}\nhi = {}\nranks = {}, {}, {}\ndiff = {}\ndiff = {}\n"),
+]
+FUZZ_NUMBERS = st.integers(-2, 12) | st.sampled_from(
+    [2**31 - 1, 2**31, 2**63, 10**12, 10**30, -(10**12)]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(FUZZ_TEMPLATES[2], [10**30, 0] + [0] * 6, 80, "", False)
+@example(FUZZ_TEMPLATES[4], [0, 2, 0, 10**30, 0, 1, 2, 0], 80, "", False)
+@example(FUZZ_TEMPLATES[4], [0, 2, 1, -1, 1, 1, 2, 0], 80, "", False)
+@given(
+    st.sampled_from(FUZZ_TEMPLATES),
+    st.lists(FUZZ_NUMBERS, min_size=8, max_size=8),
+    st.integers(0, 80),
+    st.sampled_from(["", "=", ",", "#", "\n", "-", "x", "9", "*", "^"]),
+    st.booleans(),
+)
+def test_parsers_fuzz_raise_only_input_errors(R4, tmp_path_factory, template, nums, at, char, cut):
+    kind, fmt = template
+    text = fmt.format(*nums[: fmt.count("{}")])
+    text = text[:at] + char + text[at + cut :]
+    try:
+        if kind == "ring":
+            parse_ring(text)
+        elif kind == "module":
+            parse_module(text, R4)
+        else:
+            parse_window(text, R4)
+    except InputError:
+        pass
+    if kind == "ring":
+        path = tmp_path_factory.mktemp("fuzz") / "ring.txt"
+        path.write_text(text)
+        assert cli.main(["ring-info", str(path)]) in (0, 1, 2)

@@ -209,6 +209,18 @@ def test_matmul_matches_reference():
         assert prod.a.tolist() == _reference_product(a, b, p)
 
 
+def test_matmul_limbs_across_chunks():
+    # At p = 2^31 - 1 an inner dimension above 2^15 takes two chunks of the
+    # 16-bit limb product; entries near p - 1 and low limbs near 2^16 - 1.
+    p = 2**31 - 1
+    rng = np.random.default_rng(20261019)
+    inner = (1 << 15) + 5
+    a = rng.integers(p - 4096, p, (2, inner))
+    b = (rng.integers(0x7FF0, 0x7FFF, (inner, 3)) << 16) + rng.integers(0xF000, 0x10000, (inner, 3))
+    f = PrimeField(p)
+    assert (Mat(f, a) @ Mat(f, b)).a.tolist() == _reference_product(a, b, p)
+
+
 def test_composes_to_zero_witness():
     # A pair that fails to compose to zero names the ring entry holding the
     # row-major first nonzero of the k-matrix product, below the size gate
